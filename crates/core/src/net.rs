@@ -24,7 +24,8 @@
 //! the only state is one counter per head (Table 2 / Figure 4).
 
 use hotpath_ir::dense::CounterTable;
-use hotpath_profiles::{PathExecution, PathId, ProfilingCost};
+use hotpath_ir::BlockId;
+use hotpath_profiles::{PathExecution, PathId, PathStartKind, ProfilingCost};
 
 use crate::predictor::{HotPathPredictor, SchemeKind};
 
@@ -88,36 +89,45 @@ impl NetPredictor {
     }
 
     /// The execution count of a head's counter (testing and diagnostics).
-    pub fn head_count(&self, head: hotpath_ir::BlockId) -> u64 {
+    pub fn head_count(&self, head: BlockId) -> u64 {
         self.heads.get(head.as_u32())
+    }
+
+    /// Counts one uncovered arrival at `head`, a path begun for reason
+    /// `start`; true when it triggers a prediction of the path executing
+    /// right now. This is all of NET's runtime work, and it needs no path
+    /// identity: [`observe`](HotPathPredictor::observe) is this plus
+    /// naming the predicted path.
+    pub fn observe_head(&mut self, head: BlockId, start: PathStartKind) -> bool {
+        // Only targets of backward taken branches carry counters (§4.1).
+        if !start.is_net_countable() {
+            return false;
+        }
+        let counter = self.heads.slot(head.as_u32());
+        *counter += 1;
+        self.cost.counter_increments += 1;
+        if *counter < self.delay {
+            return false;
+        }
+        // Reset and keep counting uncovered arrivals (the counter moves to
+        // the installed trace's exit stubs in Dynamo terms).
+        *counter = 0;
+        self.predictions += 1;
+        hotpath_telemetry::emit!(hotpath_telemetry::Event::TauTrigger {
+            scheme: "net",
+            head: head.as_u32(),
+            tau: self.delay,
+            observed: self.cost.counter_increments,
+        });
+        true
     }
 }
 
 impl HotPathPredictor for NetPredictor {
     fn observe(&mut self, exec: &PathExecution) -> Option<PathId> {
-        // Only targets of backward taken branches carry counters (§4.1).
-        if !exec.start.is_net_countable() {
-            return None;
-        }
-        let counter = self.heads.slot(exec.head.as_u32());
-        *counter += 1;
-        self.cost.counter_increments += 1;
-        if *counter >= self.delay {
-            // Reset and keep counting uncovered arrivals (the counter
-            // moves to the installed trace's exit stubs in Dynamo terms).
-            *counter = 0;
-            self.predictions += 1;
-            hotpath_telemetry::emit!(hotpath_telemetry::Event::TauTrigger {
-                scheme: "net",
-                head: exec.head.as_u32(),
-                tau: self.delay,
-                observed: self.cost.counter_increments,
-            });
-            // The next executing tail is the path executing right now.
-            Some(exec.path)
-        } else {
-            None
-        }
+        // The next executing tail is the path executing right now.
+        self.observe_head(exec.head, exec.start)
+            .then_some(exec.path)
     }
 
     fn scheme(&self) -> SchemeKind {
@@ -146,8 +156,7 @@ impl HotPathPredictor for NetPredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hotpath_ir::BlockId;
-    use hotpath_profiles::{PathEndKind, PathStartKind};
+    use hotpath_profiles::PathEndKind;
 
     fn exec(path: u32, head: u32, start: PathStartKind) -> PathExecution {
         PathExecution {

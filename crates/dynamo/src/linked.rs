@@ -23,23 +23,50 @@
 //! trace backend reports ([`CostModel::excursion_transitions`]), so the
 //! simulated and executed backends can be cross-checked.
 //!
+//! ## Per-block work
+//!
+//! Every interpreted block calls [`LinkedEngine::on_block`] and then
+//! [`LinkedEngine::poll_command`]; both are `#[inline]`, so a VM loop
+//! instantiated in another crate does not pay two opaque calls per block.
+//! What `on_block` does depends on the scheme, as in the paper (§4.1):
+//!
+//! * **NET** needs one counter per path head, so the engine drives a bare
+//!   [`PathBoundary`]: a few compares to find where the path ends, and at
+//!   each completed path one dense head-counter bump. No signature bits,
+//!   no indirect-target list, no path-table intern.
+//! * **Path profiling** counts paths, so it runs the full
+//!   [`PathExtractor`]: a signature bit per conditional branch, each
+//!   indirect target, and a hashed intern per completed path — the
+//!   overhead the paper argues against.
+//!
+//! Both schemes also append the block to the open path's sequence, kept
+//! only so a prediction can install it (two buffers swap at each
+//! completion; none is allocated per path). "Is this path already a
+//! fragment?" is one check for both: the completed sequence is looked up
+//! among the sequences installed from completed paths, and only paths
+//! from a head that starts one (a dense per-head flag) pay for the
+//! lookup. A path is marked covered only once the mirror cache holds its
+//! fragment; an install refused on the ladder's bottom rung leaves it
+//! eligible after re-promotion.
+//!
 //! [`CostModel::excursion_transitions`]: crate::CostModel::excursion_transitions
 
 use std::collections::VecDeque;
 
-use hotpath_core::HotPathPredictor;
+use hotpath_core::{HotPathPredictor, NetPredictor, PathProfilePredictor};
 use hotpath_ir::dense::CounterTable;
+use hotpath_ir::fasthash::FxHashSet;
 use hotpath_ir::Program;
-use hotpath_profiles::{PathExecution, PathExtractor};
+use hotpath_profiles::{BackwardRule, PathBoundary, PathBounds, PathExtractor, PathId, PathStep};
 use hotpath_telemetry as telemetry;
 use hotpath_vm::{
     BlockEvent, ExecutionObserver, RunStats, TraceCommand, TraceController, TraceExcursion,
     TraceExitReason, TransferKind, Vm, VmError,
 };
 
-use crate::cost::CycleBreakdown;
+use crate::cost::{CostModel, CycleBreakdown};
 use crate::degrade::{LadderMode, LadderStep, Watchdog};
-use crate::engine::{DynamoConfig, DynamoOutcome, LastSink, Predictor};
+use crate::engine::{DynamoConfig, DynamoOutcome, LastSink, Scheme};
 use crate::fragment::FragmentCache;
 use crate::phases::{FlushPolicy, SpikeDetector};
 
@@ -146,14 +173,108 @@ impl EngineWarmState {
     }
 }
 
+/// A completed interpreted path: where it began and ended and, under path
+/// profiling, its interned identity.
+#[derive(Clone, Copy, Debug)]
+struct Completed {
+    bounds: PathBounds,
+    path: Option<PathId>,
+}
+
+/// Path segmentation plus the predictor's counters, per scheme. NET counts
+/// heads, so it needs only where paths begin and end; path profiling
+/// counts paths, so it also builds and interns every path's signature.
+#[derive(Debug)]
+enum Profiler {
+    Net {
+        paths: PathBoundary,
+        heads: NetPredictor,
+    },
+    PathProfile {
+        paths: PathExtractor<LastSink>,
+        counts: PathProfilePredictor,
+    },
+}
+
+impl Profiler {
+    fn new(config: &DynamoConfig) -> Self {
+        match config.scheme {
+            Scheme::Net => Profiler::Net {
+                paths: PathBoundary::new(config.path_cap, BackwardRule::default()),
+                heads: NetPredictor::new(config.delay),
+            },
+            Scheme::PathProfile => Profiler::PathProfile {
+                paths: PathExtractor::with_cap(LastSink::default(), config.path_cap),
+                counts: PathProfilePredictor::new(config.delay),
+            },
+        }
+    }
+
+    /// Feeds one interpreted block; returns the path it completed.
+    #[inline(always)]
+    fn on_block(&mut self, event: &BlockEvent) -> Option<Completed> {
+        match self {
+            Profiler::Net { paths, .. } => match paths.on_block(event) {
+                PathStep::Complete(bounds) => Some(Completed { bounds, path: None }),
+                PathStep::Extend | PathStep::Begin => None,
+            },
+            Profiler::PathProfile { paths, .. } => {
+                paths.on_block(event);
+                paths.sink_mut().0.take().map(|exec| Completed {
+                    bounds: exec.bounds(),
+                    path: Some(exec.path),
+                })
+            }
+        }
+    }
+
+    /// Ends the run; true when that completed the open path.
+    fn on_halt(&mut self) -> bool {
+        match self {
+            Profiler::Net { paths, .. } => paths.on_halt().is_some(),
+            Profiler::PathProfile { paths, .. } => {
+                paths.on_halt();
+                paths.sink_mut().0.take().is_some()
+            }
+        }
+    }
+
+    /// Profiles one uncovered completed path, charging the scheme's
+    /// profiling cycles; true when it predicts the path hot.
+    fn observe(&mut self, done: &Completed, cost: &CostModel, cycles: &mut CycleBreakdown) -> bool {
+        let bounds = done.bounds;
+        match self {
+            Profiler::Net { heads, .. } => {
+                if bounds.start.is_net_countable() {
+                    cycles.profiling += cost.counter_op;
+                }
+                heads.observe_head(bounds.head, bounds.start)
+            }
+            Profiler::PathProfile { counts, .. } => {
+                cycles.profiling +=
+                    cost.shift_op * bounds.blocks.saturating_sub(1) as f64 + cost.table_op;
+                done.path
+                    .is_some_and(|id| counts.observe(&bounds.with_id(id)).is_some())
+            }
+        }
+    }
+
+    /// Clears the predictor's counters (on a cache flush).
+    fn reset(&mut self) {
+        match self {
+            Profiler::Net { heads, .. } => heads.reset(),
+            Profiler::PathProfile { counts, .. } => counts.reset(),
+        }
+    }
+}
+
 /// The Dynamo engine for [`Vm::run_linked`]: observes interpreted blocks,
 /// receives batched trace excursions, and feeds install/flush commands
 /// back to the VM's trace backend.
 #[derive(Debug)]
 pub struct LinkedEngine {
     config: DynamoConfig,
-    predictor: Predictor,
-    extractor: PathExtractor<LastSink>,
+    profiler: Profiler,
     /// Engine-side mirror of the VM's trace cache: idempotent installs,
     /// sibling bookkeeping, capacity policy, outcome statistics.
     mirror: FragmentCache,
@@ -167,13 +288,21 @@ pub struct LinkedEngine {
     /// Guard-fail targets whose stub counter reached τ: the next completed
     /// interpreted path starting there installs as a tail fragment.
     armed: Vec<u32>,
-    /// Paths that already have a fragment (indexed by PathId).
-    cached_paths: Vec<bool>,
+    /// Block sequences of the fragments installed from completed
+    /// interpreted paths: a completed path found here already runs from
+    /// the cache and skips profiling.
+    covered: FxHashSet<Box<[u32]>>,
+    /// Heads (dense by block id) that start a covered sequence; only paths
+    /// from these heads are looked up.
+    covered_heads: Vec<bool>,
     /// Degradation-ladder health monitor; `None` when the ladder is off.
     watchdog: Option<Watchdog>,
     /// Blocks of the interpreted path currently being accumulated.
     cur_blocks: Vec<u32>,
     cur_insts: u32,
+    /// The just-completed path's blocks: swapped with `cur_blocks` at each
+    /// completion so neither buffer is reallocated per path.
+    done_blocks: Vec<u32>,
     /// Set after every excursion: the next interpreted block restarts path
     /// extraction (the pre-excursion path tail ran in trace-land,
     /// unobserved, so it cannot be completed honestly).
@@ -190,7 +319,6 @@ pub struct LinkedEngine {
 impl LinkedEngine {
     /// Creates an engine.
     pub fn new(config: DynamoConfig) -> Self {
-        let predictor = Predictor::for_scheme(config.scheme, config.delay);
         let detector = match config.flush {
             FlushPolicy::Never => None,
             FlushPolicy::OnSpike {
@@ -199,22 +327,22 @@ impl LinkedEngine {
                 min_predictions,
             } => Some(SpikeDetector::new(window, factor, min_predictions)),
         };
-        let cap = config.path_cap;
         let watchdog = config.degrade.map(Watchdog::new);
         LinkedEngine {
+            profiler: Profiler::new(&config),
             config,
-            predictor,
-            extractor: PathExtractor::with_cap(LastSink::default(), cap),
             mirror: FragmentCache::new(),
             pending: VecDeque::new(),
             cycles: CycleBreakdown::default(),
             detector,
             exit_counts: CounterTable::new(),
             armed: Vec::new(),
-            cached_paths: Vec::new(),
+            covered: FxHashSet::default(),
+            covered_heads: Vec::new(),
             watchdog,
             cur_blocks: Vec::with_capacity(64),
             cur_insts: 0,
+            done_blocks: Vec::with_capacity(64),
             resume_pending: false,
             bailed: false,
             spike_flushes: 0,
@@ -266,9 +394,9 @@ impl LinkedEngine {
     /// installed fragments, exit-stub counters, armed targets, and NET
     /// head counters.
     pub fn export_warm_state(&self) -> EngineWarmState {
-        let net_counters = match &self.predictor {
-            Predictor::Net(p) => p.export_counters(),
-            Predictor::PathProfile(_) => Vec::new(),
+        let net_counters = match &self.profiler {
+            Profiler::Net { heads, .. } => heads.export_counters(),
+            Profiler::PathProfile { .. } => Vec::new(),
         };
         EngineWarmState {
             fragments: self
@@ -308,8 +436,8 @@ impl LinkedEngine {
                 self.armed.push(target);
             }
         }
-        if let Predictor::Net(p) = &mut self.predictor {
-            p.import_counters(&warm.net_counters);
+        if let Profiler::Net { heads, .. } = &mut self.profiler {
+            heads.import_counters(&warm.net_counters);
         }
         self.resume_pending = true;
     }
@@ -380,32 +508,46 @@ impl LinkedEngine {
         }
     }
 
-    fn is_cached_path(&self, exec: &PathExecution) -> bool {
-        self.cached_paths
-            .get(exec.path.index())
-            .copied()
-            .unwrap_or(false)
+    /// True when `blocks` is already a fragment installed from a
+    /// completed path.
+    fn is_covered(&self, blocks: &[u32]) -> bool {
+        blocks
+            .first()
+            .is_some_and(|&head| self.covered_heads.get(head as usize) == Some(&true))
+            && self.covered.contains(blocks)
     }
 
-    fn mark_cached(&mut self, exec: &PathExecution) {
-        let i = exec.path.index();
-        if i >= self.cached_paths.len() {
-            self.cached_paths.resize(i + 1, false);
+    /// Installs `blocks` and, when the mirror then holds them, marks them
+    /// covered. A refused install (the ladder's bottom rung) leaves the
+    /// path uncovered, so it is profiled and predicted again once the
+    /// ladder re-promotes.
+    fn install_covered(&mut self, blocks: &[u32], insts: u32) {
+        if !self.install(blocks, insts) {
+            return;
         }
-        self.cached_paths[i] = true;
+        let head = blocks[0] as usize;
+        if head >= self.covered_heads.len() {
+            self.covered_heads.resize(head + 1, false);
+        }
+        self.covered_heads[head] = true;
+        if !self.covered.contains(blocks) {
+            self.covered.insert(blocks.into());
+        }
     }
 
     /// Installs a fragment in the mirror and, when it anchors a new head,
-    /// commands the VM to compile it into a trace.
-    fn install(&mut self, blocks: &[u32], insts: u32) {
+    /// commands the VM to compile it into a trace. True when the mirror
+    /// holds `blocks` afterwards (newly or already); false when the
+    /// install was refused.
+    fn install(&mut self, blocks: &[u32], insts: u32) -> bool {
         if self.interp_only() {
             // Bottom rung: no new traces until the watchdog re-promotes.
-            return;
+            return false;
         }
         let Ok((id, new_head)) = self.mirror.install_anchoring(blocks, insts) else {
             // An unrecordable path (defensively: empty) is simply not
             // cached; the run continues interpreted.
-            return;
+            return false;
         };
         if id.is_some() {
             self.cycles.build +=
@@ -422,6 +564,7 @@ impl LinkedEngine {
                     .push_back(TraceCommand::Install(blocks.to_vec()));
             }
         }
+        true
     }
 
     fn flush(&mut self, kind: &'static str) {
@@ -438,8 +581,9 @@ impl LinkedEngine {
             }
         }
         self.mirror.flush();
-        self.predictor.reset();
-        self.cached_paths.clear();
+        self.profiler.reset();
+        self.covered.clear();
+        self.covered_heads.fill(false);
         self.exit_counts.clear();
         self.armed.clear();
         self.pending.push_back(TraceCommand::Flush);
@@ -447,45 +591,32 @@ impl LinkedEngine {
 
     /// Profiles a completed, fully-interpreted path; installs on
     /// prediction. Identical charging to the simulated engine.
-    fn observe_path(&mut self, exec: &PathExecution, blocks: &[u32], insts: u32) -> bool {
-        let cost = self.config.cost;
-        let predicted = match &mut self.predictor {
-            Predictor::Net(p) => {
-                if exec.start.is_net_countable() {
-                    self.cycles.profiling += cost.counter_op;
-                }
-                p.observe(exec)
-            }
-            Predictor::PathProfile(p) => {
-                self.cycles.profiling +=
-                    cost.shift_op * exec.blocks.saturating_sub(1) as f64 + cost.table_op;
-                p.observe(exec)
-            }
-        };
-        if predicted.is_some() {
-            self.install(blocks, insts);
-            self.mark_cached(exec);
-            return true;
+    fn observe_path(&mut self, done: &Completed, blocks: &[u32], insts: u32) -> bool {
+        if !self
+            .profiler
+            .observe(done, &self.config.cost, &mut self.cycles)
+        {
+            return false;
         }
-        false
+        self.install_covered(blocks, insts);
+        true
     }
 
-    fn on_completed_path(&mut self, exec: &PathExecution, blocks: &[u32], insts: u32) {
+    fn on_completed_path(&mut self, done: &Completed, blocks: &[u32], insts: u32) {
         self.paths_completed += 1;
         let mut was_prediction = false;
-        if !self.is_cached_path(exec) {
-            was_prediction = self.observe_path(exec, blocks, insts);
+        if !self.is_covered(blocks) {
+            was_prediction = self.observe_path(done, blocks, insts);
         }
         // Armed exit-stub targets: the first interpreted path from a hot
         // guard-fail target becomes the tail fragment Dynamo would record
         // from that exit stub.
         if !was_prediction {
-            let head = exec.head.as_u32();
+            let head = done.bounds.head.as_u32();
             if let Some(i) = self.armed.iter().position(|&h| h == head) {
                 if blocks.first() == Some(&head) {
                     self.armed.swap_remove(i);
-                    self.install(blocks, insts.max(1));
-                    self.mark_cached(exec);
+                    self.install_covered(blocks, insts.max(1));
                     was_prediction = true;
                 }
             }
@@ -526,6 +657,7 @@ impl LinkedEngine {
 }
 
 impl ExecutionObserver for LinkedEngine {
+    #[inline]
     fn on_block(&mut self, event: &BlockEvent) {
         let cost = self.config.cost;
         let size = event.block_size as f64;
@@ -538,38 +670,41 @@ impl ExecutionObserver for LinkedEngine {
 
         // Path bookkeeping. After an excursion the open interpreted path
         // is stale (its tail ran in trace-land, unobserved): restart
-        // extraction at the exit target by feeding a synthetic Start,
-        // which the extractor begins without emitting the stale path.
-        if self.resume_pending {
+        // segmentation at the exit target by feeding a synthetic Start,
+        // which begins a path without completing the stale one.
+        let completed = if self.resume_pending {
             self.resume_pending = false;
             self.cur_blocks.clear();
             self.cur_insts = 0;
-            self.extractor.on_block(&BlockEvent {
+            self.profiler.on_block(&BlockEvent {
                 from: None,
                 kind: TransferKind::Start,
                 backward: false,
                 ..*event
-            });
+            })
         } else {
-            self.extractor.on_block(event);
-        }
-        let completed = self.extractor.sink_mut().0.take();
-        let mut finished: Option<(Vec<u32>, u32)> = None;
-        if completed.is_some() {
-            finished = Some((std::mem::take(&mut self.cur_blocks), self.cur_insts));
-            self.cur_insts = 0;
-        }
+            self.profiler.on_block(event)
+        };
+        let Some(done) = completed else {
+            self.cur_blocks.push(event.block.as_u32());
+            self.cur_insts += event.block_size;
+            self.cycles.interp += size * cost.interp_per_inst;
+            return;
+        };
+
+        // This block begins the next path; the completed one moves to the
+        // spare buffer.
+        std::mem::swap(&mut self.cur_blocks, &mut self.done_blocks);
+        self.cur_blocks.clear();
         self.cur_blocks.push(event.block.as_u32());
-        self.cur_insts += event.block_size;
-
-        if let (Some(exec), Some((blocks, insts))) = (completed, finished) {
-            self.on_completed_path(&exec, &blocks, insts);
-            if self.bailed {
-                self.cycles.native += size * cost.native_per_inst;
-                return;
-            }
+        let insts = std::mem::replace(&mut self.cur_insts, event.block_size);
+        let blocks = std::mem::take(&mut self.done_blocks);
+        self.on_completed_path(&done, &blocks, insts);
+        self.done_blocks = blocks;
+        if self.bailed {
+            self.cycles.native += size * cost.native_per_inst;
+            return;
         }
-
         self.cycles.interp += size * cost.interp_per_inst;
     }
 
@@ -580,8 +715,7 @@ impl ExecutionObserver for LinkedEngine {
             // trace-land).
             return;
         }
-        self.extractor.on_halt();
-        if self.extractor.sink_mut().0.take().is_some() {
+        if self.profiler.on_halt() {
             self.paths_completed += 1;
         }
     }
@@ -599,9 +733,12 @@ impl TraceController for LinkedEngine {
         if let Some(&head) = self.cur_blocks.first() {
             if let Some(i) = self.armed.iter().position(|&h| h == head) {
                 self.armed.swap_remove(i);
-                let blocks = std::mem::take(&mut self.cur_blocks);
-                let insts = self.cur_insts;
-                self.install(&blocks, insts.max(1));
+                // The recording ends here: the next interpreted block
+                // restarts it, so the buffer is emptied (and kept).
+                let mut blocks = std::mem::take(&mut self.cur_blocks);
+                self.install(&blocks, self.cur_insts.max(1));
+                blocks.clear();
+                self.cur_blocks = blocks;
                 // Capacity is enforced here as well as on completed paths:
                 // once tails link the working set into a closed complex,
                 // excursion exits may be the only safe points left — a
@@ -644,6 +781,7 @@ impl TraceController for LinkedEngine {
         self.resume_pending = true;
     }
 
+    #[inline]
     fn poll_command(&mut self) -> Option<TraceCommand> {
         self.pending.pop_front()
     }
@@ -778,6 +916,26 @@ mod tests {
         assert_eq!(real.outcome.fragments_installed, sim.fragments_installed);
         assert!(real.outcome.cycles.trace > real.outcome.cycles.interp);
         assert!(sim.cycles.trace > sim.cycles.interp);
+    }
+
+    /// Fed interpreted blocks only (no trace ever runs), a loop's two
+    /// paths are each predicted once; after that both are covered and
+    /// skip profiling, so ten times the iterations cost no more profiling
+    /// cycles.
+    #[test]
+    fn covered_paths_skip_profiling() {
+        let feed = |trip| {
+            let mut recorder = hotpath_vm::TraceRecorder::new();
+            Vm::new(&two_path_loop(trip)).run(&mut recorder).unwrap();
+            let mut engine = LinkedEngine::new(DynamoConfig::new(Scheme::Net, 50));
+            recorder.into_trace().replay(&mut engine);
+            engine.finish()
+        };
+        let (short, long) = (feed(1_000), feed(10_000));
+        assert_eq!(short.fragments_installed, 2);
+        assert_eq!(long.fragments_installed, 2);
+        assert_eq!(long.paths_completed, 10 * short.paths_completed - 9);
+        assert_eq!(short.cycles.profiling, long.cycles.profiling);
     }
 
     #[test]

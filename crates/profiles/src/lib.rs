@@ -5,11 +5,13 @@
 //! * [`PathSignature`] — *bit tracing*: a path is identified by
 //!   `<start>.<branch-history-bits>,<indirect-target-list>`, constructed on
 //!   the fly as the program executes (paper §2, Figure 1);
-//! * [`PathExtractor`] — the paper's **interprocedural forward path**
+//! * [`PathBoundary`] — the paper's **interprocedural forward path**
 //!   definition (§3): a path starts at the target of a backward taken
 //!   branch, extends to the next backward taken branch, may cross calls and
 //!   returns unless they are backward, and terminates at the return matching
 //!   an in-path call, if not earlier;
+//! * [`PathExtractor`] — that definition plus bit-tracing signatures,
+//!   interned into one [`PathExecution`] per completed path;
 //! * [`PathTable`] / [`PathProfile`] / [`HotPathSet`] — interning, frequency
 //!   distributions, flow, and the 0.1% `HotPath` set of Table 1;
 //! * [`PathStream`] — a compact recording of every path execution so τ-sweeps
@@ -42,8 +44,8 @@ pub use cost::ProfilingCost;
 pub use edge::{estimate_path_freq, showdown, EdgeProfiler, ShowdownReport};
 pub use kbounded::KBoundedProfiler;
 pub use path::{
-    BackwardRule, CollectSink, PathEndKind, PathExecution, PathExtractor, PathSink, PathStartKind,
-    DEFAULT_PATH_CAP,
+    BackwardRule, CollectSink, PathBoundary, PathBounds, PathEndKind, PathExecution, PathExtractor,
+    PathSink, PathStartKind, PathStep, DEFAULT_PATH_CAP,
 };
 pub use persist::{load_run, save_run};
 pub use profile::{HotPathSet, PathProfile};

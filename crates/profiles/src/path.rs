@@ -7,9 +7,12 @@
 //! > procedure call it will terminate at the corresponding return branch,
 //! > if not earlier.*
 //!
-//! [`PathExtractor`] implements that definition as an
-//! [`ExecutionObserver`]: it segments the dynamic block stream into paths,
-//! interns each path's bit-tracing signature, and hands one
+//! [`PathBoundary`] implements that definition on its own: fed one block
+//! event at a time, it says where each path begins and ends and nothing
+//! else — no path identity. That is all NET needs, since it counts heads,
+//! never paths. [`PathExtractor`] adds identity on top, as an
+//! [`ExecutionObserver`]: it drives a [`PathBoundary`], builds each path's
+//! bit-tracing signature alongside, interns it, and hands one
 //! [`PathExecution`] per completed path to a [`PathSink`].
 //!
 //! ## What counts as a "backward taken branch"?
@@ -144,6 +147,50 @@ pub struct PathExecution {
     pub insts: u32,
 }
 
+impl PathExecution {
+    /// The execution without its path identity.
+    pub fn bounds(&self) -> PathBounds {
+        PathBounds {
+            head: self.head,
+            start: self.start,
+            end: self.end,
+            blocks: self.blocks,
+            insts: self.insts,
+        }
+    }
+}
+
+/// A completed path as [`PathBoundary`] reports it: where and why it
+/// began and ended, and its size — everything in a [`PathExecution`]
+/// except the interned identity.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct PathBounds {
+    /// First block of the path.
+    pub head: BlockId,
+    /// Why the path began.
+    pub start: PathStartKind,
+    /// Why the path ended.
+    pub end: PathEndKind,
+    /// Blocks on this execution of the path.
+    pub blocks: u32,
+    /// Instruction slots on this execution of the path.
+    pub insts: u32,
+}
+
+impl PathBounds {
+    /// The execution of the path interned as `path`.
+    pub fn with_id(self, path: PathId) -> PathExecution {
+        PathExecution {
+            path,
+            head: self.head,
+            start: self.start,
+            end: self.end,
+            blocks: self.blocks,
+            insts: self.insts,
+        }
+    }
+}
+
 /// Receives completed paths from a [`PathExtractor`].
 pub trait PathSink {
     /// Called once per completed path execution.
@@ -187,6 +234,140 @@ impl PathSink for CollectSink {
 /// length the same way).
 pub const DEFAULT_PATH_CAP: u32 = 1024;
 
+/// What one block event did to the path under construction.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum PathStep {
+    /// The block extended the current path.
+    Extend,
+    /// The block began a new path and completed none: the program (or an
+    /// observer's restart) started, or the previous path was already
+    /// closed.
+    Begin,
+    /// The block completed the current path and began the next one.
+    Complete(PathBounds),
+}
+
+/// The path-segmentation rules of the module docs, with no path identity:
+/// start kinds, in-path calls awaiting their return, the length cap, and
+/// the [`BackwardRule`].
+///
+/// Per block it does a handful of compares and two adds; a completed path
+/// costs nothing more. [`PathExtractor`] is this plus signatures and
+/// interning.
+#[derive(Clone, Debug)]
+pub struct PathBoundary {
+    head: BlockId,
+    start_kind: PathStartKind,
+    /// Calls made inside the current path that have not returned yet.
+    pending_calls: u32,
+    blocks: u32,
+    insts: u32,
+    cap: u32,
+    rule: BackwardRule,
+    active: bool,
+}
+
+impl PathBoundary {
+    /// Segments with length cap `cap` (in blocks) under `rule`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cap == 0`.
+    pub fn new(cap: u32, rule: BackwardRule) -> Self {
+        assert!(cap > 0, "path cap must be positive");
+        PathBoundary {
+            head: BlockId::new(0),
+            start_kind: PathStartKind::Entry,
+            pending_calls: 0,
+            blocks: 0,
+            insts: 0,
+            cap,
+            rule,
+            active: false,
+        }
+    }
+
+    fn begin(&mut self, block: BlockId, kind: PathStartKind, block_size: u32) {
+        self.head = block;
+        self.start_kind = kind;
+        self.pending_calls = 0;
+        self.blocks = 1;
+        self.insts = block_size;
+        self.active = true;
+    }
+
+    fn close(&mut self, end: PathEndKind) -> Option<PathBounds> {
+        if !self.active {
+            return None;
+        }
+        self.active = false;
+        Some(PathBounds {
+            head: self.head,
+            start: self.start_kind,
+            end,
+            blocks: self.blocks,
+            insts: self.insts,
+        })
+    }
+
+    /// Advances over one block event. A [`TransferKind::Start`] event
+    /// begins a fresh [`PathStartKind::Entry`] path and drops the open one
+    /// uncompleted.
+    #[inline]
+    pub fn on_block(&mut self, event: &BlockEvent) -> PathStep {
+        if event.kind == TransferKind::Start {
+            self.begin(event.block, PathStartKind::Entry, event.block_size);
+            return PathStep::Begin;
+        }
+
+        // Decide whether the incoming transfer ends the current path.
+        let is_branch = !matches!(event.kind, TransferKind::Call | TransferKind::Return);
+        let backward_ends =
+            event.backward && (is_branch || self.rule == BackwardRule::AllTransfers);
+        let mut end: Option<PathEndKind> = None;
+        match event.kind {
+            TransferKind::Call => self.pending_calls += 1,
+            TransferKind::Return if self.pending_calls > 0 => {
+                self.pending_calls -= 1;
+                if self.pending_calls == 0 {
+                    // The return matching the first in-path call.
+                    end = Some(PathEndKind::CallReturn);
+                }
+            }
+            _ => {}
+        }
+        if backward_ends {
+            end = Some(PathEndKind::BackwardBranch);
+        } else if end.is_none() && self.blocks >= self.cap {
+            end = Some(PathEndKind::Capped);
+        }
+
+        match end {
+            Some(reason) => {
+                let done = self.close(reason);
+                let kind = if backward_ends {
+                    PathStartKind::BackwardTarget
+                } else {
+                    PathStartKind::Continuation
+                };
+                self.begin(event.block, kind, event.block_size);
+                done.map_or(PathStep::Begin, PathStep::Complete)
+            }
+            None => {
+                self.blocks += 1;
+                self.insts += event.block_size;
+                PathStep::Extend
+            }
+        }
+    }
+
+    /// Ends the run: completes the open path, if any, as
+    /// [`PathEndKind::ProgramEnd`].
+    pub fn on_halt(&mut self) -> Option<PathBounds> {
+        self.close(PathEndKind::ProgramEnd)
+    }
+}
+
 /// Segments a block-event stream into interprocedural forward paths.
 ///
 /// Use as the observer of a [`Vm`](hotpath_vm::Vm) run (or of a
@@ -198,19 +379,12 @@ pub struct PathExtractor<S> {
     sink: S,
     table: PathTable,
     sig: PathSignature,
-    start_kind: PathStartKind,
-    /// Calls made inside the current path that have not returned yet.
-    pending_calls: u32,
-    blocks: u32,
-    insts: u32,
-    cap: u32,
-    rule: BackwardRule,
-    active: bool,
+    boundary: PathBoundary,
 }
 
 impl<S: PathSink> PathExtractor<S> {
     /// Creates an extractor feeding `sink` with the default cap and
-    /// [`BackwardRule::BranchesOnly`].
+    /// [`BackwardRule::AllTransfers`].
     pub fn new(sink: S) -> Self {
         Self::with_options(sink, DEFAULT_PATH_CAP, BackwardRule::default())
     }
@@ -230,18 +404,11 @@ impl<S: PathSink> PathExtractor<S> {
     ///
     /// Panics if `cap == 0`.
     pub fn with_options(sink: S, cap: u32, rule: BackwardRule) -> Self {
-        assert!(cap > 0, "path cap must be positive");
         PathExtractor {
             sink,
             table: PathTable::new(),
             sig: PathSignature::default(),
-            start_kind: PathStartKind::Entry,
-            pending_calls: 0,
-            blocks: 0,
-            insts: 0,
-            cap,
-            rule,
-            active: false,
+            boundary: PathBoundary::new(cap, rule),
         }
     }
 
@@ -272,42 +439,23 @@ impl<S: PathSink> PathExtractor<S> {
         &self.table
     }
 
-    fn begin(&mut self, block: BlockId, kind: PathStartKind, block_size: u32) {
-        self.sig.reset(block);
-        self.start_kind = kind;
-        self.pending_calls = 0;
-        self.blocks = 1;
-        self.insts = block_size;
-        self.active = true;
-    }
-
-    fn finish(&mut self, end: PathEndKind) {
-        if !self.active {
-            return;
-        }
-        let head = self.sig.start();
+    /// Interns the signature built for `done` and hands the execution to
+    /// the sink.
+    fn finish(&mut self, done: PathBounds) {
         let id = self.table.intern(
             &self.sig,
             PathInfo {
-                head,
-                blocks: self.blocks,
-                insts: self.insts,
+                head: done.head,
+                blocks: done.blocks,
+                insts: done.insts,
                 cond_branches: self.sig.history_len(),
                 indirects: self.sig.indirect_len() as u32,
             },
         );
-        let exec = PathExecution {
-            path: id,
-            head,
-            start: self.start_kind,
-            end,
-            blocks: self.blocks,
-            insts: self.insts,
-        };
-        self.active = false;
+        let exec = done.with_id(id);
         hotpath_telemetry::emit!(hotpath_telemetry::Event::PathCompleted {
             path: id.index() as u32,
-            head: head.as_u32(),
+            head: done.head.as_u32(),
             blocks: exec.blocks,
             insts: exec.insts,
             start: exec.start.as_str(),
@@ -315,68 +463,33 @@ impl<S: PathSink> PathExtractor<S> {
         });
         self.sink.on_path(&exec);
     }
-
-    fn extend(&mut self, event: &BlockEvent) {
-        match event.kind {
-            TransferKind::BranchTaken => self.sig.push_bit(true),
-            TransferKind::BranchNotTaken => self.sig.push_bit(false),
-            TransferKind::Indirect => self.sig.push_indirect(event.block),
-            // A return that does not terminate the path crosses out of the
-            // frame the path started in; like an indirect branch, its
-            // dynamic target is part of the path identity.
-            TransferKind::Return => self.sig.push_indirect(event.block),
-            TransferKind::Jump | TransferKind::Call | TransferKind::Start => {}
-        }
-        self.blocks += 1;
-        self.insts += event.block_size;
-    }
 }
 
 impl<S: PathSink> ExecutionObserver for PathExtractor<S> {
     fn on_block(&mut self, event: &BlockEvent) {
-        if event.kind == TransferKind::Start {
-            self.begin(event.block, PathStartKind::Entry, event.block_size);
-            return;
-        }
-
-        // Decide whether the incoming transfer ends the current path.
-        let is_branch = !matches!(event.kind, TransferKind::Call | TransferKind::Return);
-        let backward_ends =
-            event.backward && (is_branch || self.rule == BackwardRule::AllTransfers);
-        let mut end: Option<PathEndKind> = None;
-        match event.kind {
-            TransferKind::Call => self.pending_calls += 1,
-            TransferKind::Return if self.pending_calls > 0 => {
-                self.pending_calls -= 1;
-                if self.pending_calls == 0 {
-                    // The return matching the first in-path call.
-                    end = Some(PathEndKind::CallReturn);
-                }
+        match self.boundary.on_block(event) {
+            PathStep::Extend => match event.kind {
+                TransferKind::BranchTaken => self.sig.push_bit(true),
+                TransferKind::BranchNotTaken => self.sig.push_bit(false),
+                TransferKind::Indirect => self.sig.push_indirect(event.block),
+                // A return that does not terminate the path crosses out of
+                // the frame the path started in; like an indirect branch,
+                // its dynamic target is part of the path identity.
+                TransferKind::Return => self.sig.push_indirect(event.block),
+                TransferKind::Jump | TransferKind::Call | TransferKind::Start => {}
+            },
+            PathStep::Begin => self.sig.reset(event.block),
+            PathStep::Complete(done) => {
+                self.finish(done);
+                self.sig.reset(event.block);
             }
-            _ => {}
-        }
-        if backward_ends {
-            end = Some(PathEndKind::BackwardBranch);
-        } else if end.is_none() && self.blocks >= self.cap {
-            end = Some(PathEndKind::Capped);
-        }
-
-        match end {
-            Some(reason) => {
-                self.finish(reason);
-                let kind = if backward_ends {
-                    PathStartKind::BackwardTarget
-                } else {
-                    PathStartKind::Continuation
-                };
-                self.begin(event.block, kind, event.block_size);
-            }
-            None => self.extend(event),
         }
     }
 
     fn on_halt(&mut self) {
-        self.finish(PathEndKind::ProgramEnd);
+        if let Some(done) = self.boundary.on_halt() {
+            self.finish(done);
+        }
         self.sink.on_end();
     }
 }
@@ -632,6 +745,44 @@ mod tests {
             if w[0].end == PathEndKind::Capped {
                 assert_eq!(w[1].start, PathStartKind::Continuation);
             }
+        }
+    }
+
+    /// Drives a bare [`PathBoundary`] as an observer, collecting what it
+    /// reports.
+    struct Bounds(PathBoundary, Vec<PathBounds>);
+
+    impl ExecutionObserver for Bounds {
+        fn on_block(&mut self, event: &BlockEvent) {
+            if let PathStep::Complete(done) = self.0.on_block(event) {
+                self.1.push(done);
+            }
+        }
+
+        fn on_halt(&mut self) {
+            self.1.extend(self.0.on_halt());
+        }
+    }
+
+    /// The boundary on its own reports exactly the paths the extractor
+    /// interns, minus their ids — for each backward rule and a cap that
+    /// splits paths.
+    #[test]
+    fn boundary_alone_reports_the_extractors_paths() {
+        let p = loop_program(9);
+        for (cap, rule) in [
+            (DEFAULT_PATH_CAP, BackwardRule::AllTransfers),
+            (DEFAULT_PATH_CAP, BackwardRule::BranchesOnly),
+            (2, BackwardRule::AllTransfers),
+        ] {
+            let mut ex = PathExtractor::with_options(CollectSink::default(), cap, rule);
+            Vm::new(&p).run(&mut ex).unwrap();
+            let mut bare = Bounds(PathBoundary::new(cap, rule), Vec::new());
+            Vm::new(&p).run(&mut bare).unwrap();
+            let expect: Vec<PathBounds> =
+                ex.sink().paths.iter().map(PathExecution::bounds).collect();
+            assert_eq!(bare.1, expect, "cap {cap}, {rule:?}");
+            assert!(expect.iter().any(|b| b.end == PathEndKind::BackwardBranch));
         }
     }
 

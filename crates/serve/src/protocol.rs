@@ -775,10 +775,25 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
             format!("frame length {len} exceeds the {MAX_FRAME_BYTES}-byte cap"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // The buffer grows with the bytes that actually arrive, so a length
+    // prefix alone cannot make the reader allocate up to the cap.
+    let mut payload = Vec::with_capacity(len.min(FRAME_READ_CHUNK));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "stream ended after {} of a frame's {len} payload bytes",
+                payload.len()
+            ),
+        ));
+    }
     Ok(Some(payload))
 }
+
+/// Initial payload buffer of [`read_frame`]; larger frames grow it as
+/// their bytes arrive.
+const FRAME_READ_CHUNK: usize = 8 << 10;
 
 #[cfg(test)]
 mod tests {
@@ -1041,5 +1056,13 @@ mod tests {
         let mut truncated = 10u32.to_le_bytes().to_vec();
         truncated.extend_from_slice(&[1, 2, 3]);
         assert!(read_frame(&mut io::Cursor::new(truncated)).is_err());
+    }
+
+    #[test]
+    fn read_frame_at_the_cap_with_a_short_payload_is_unexpected_eof() {
+        let mut stream = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+        stream.extend_from_slice(&[7, 8, 9]);
+        let err = read_frame(&mut io::Cursor::new(stream)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 }

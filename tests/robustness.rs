@@ -332,6 +332,82 @@ fn phase_shift_walks_the_ladder_and_stays_bit_identical() {
     );
 }
 
+/// Forwards to a [`LinkedEngine`] and watches its ladder: whether it has
+/// reached `InterpOnly`, and the heads of the traces it commands once it
+/// has climbed back off that rung.
+struct LadderWatch<'a> {
+    engine: &'a mut LinkedEngine,
+    bottomed: bool,
+    repromoted_at_path: Option<u64>,
+    heads_after: Vec<u32>,
+}
+
+impl LadderWatch<'_> {
+    fn check(&mut self) {
+        match self.engine.mode() {
+            LadderMode::InterpOnly => self.bottomed = true,
+            _ if self.bottomed && self.repromoted_at_path.is_none() => {
+                self.repromoted_at_path = Some(self.engine.paths_completed());
+            }
+            _ => {}
+        }
+    }
+}
+
+impl hotpath::vm::ExecutionObserver for LadderWatch<'_> {
+    fn on_block(&mut self, event: &hotpath::vm::BlockEvent) {
+        self.engine.on_block(event);
+        self.check();
+    }
+
+    fn on_halt(&mut self) {
+        self.engine.on_halt();
+    }
+}
+
+impl TraceController for LadderWatch<'_> {
+    fn on_trace_exit(&mut self, excursion: &hotpath::vm::TraceExcursion) {
+        self.engine.on_trace_exit(excursion);
+        self.check();
+    }
+
+    fn poll_command(&mut self) -> Option<TraceCommand> {
+        let command = self.engine.poll_command();
+        if let (Some(TraceCommand::Install(blocks)), Some(_)) = (&command, self.repromoted_at_path)
+        {
+            self.heads_after.push(blocks[0]);
+        }
+        command
+    }
+}
+
+/// Paths predicted while the ladder sits on `InterpOnly` have their
+/// installs refused; they must stay eligible, so once the ladder climbs
+/// back the still-running storm loop (head 1) gets traces again instead
+/// of staying interpreted until the next flush.
+#[test]
+fn paths_predicted_at_the_bottom_rung_install_after_repromotion() {
+    let p = phase_shift_program(8_000, 8_000);
+    let mut engine = LinkedEngine::new(phase_shift_config());
+    let mut watch = LadderWatch {
+        engine: &mut engine,
+        bottomed: false,
+        repromoted_at_path: None,
+        heads_after: Vec::new(),
+    };
+    let stats = Vm::new(&p).run_linked(&mut watch).unwrap();
+    assert_eq!(stats, Vm::new(&p).run(&mut NullObserver).unwrap());
+    let at = watch
+        .repromoted_at_path
+        .expect("the storm must bottom the ladder out and the engine climb back");
+    let storm_traces = watch.heads_after.iter().filter(|&&h| h == 1).count();
+    assert!(
+        storm_traces > 0,
+        "no storm-loop trace after re-promotion at path {at} (trace heads after: {:?})",
+        watch.heads_after
+    );
+}
+
 /// Serve-layer fault model (DESIGN.md §15): the same absorb-and-recover
 /// discipline extended over the wire and across shard workers. Every
 /// injected wire fault either stays transparent to the client or
